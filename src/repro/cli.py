@@ -577,6 +577,20 @@ def _parse_fault_levels(text):
     return tuple(levels)
 
 
+def _parse_diff_kinds(text):
+    from repro.verify.backend_diff import DIFF_KINDS
+
+    kinds = tuple(part.strip() for part in text.split(",") if part.strip())
+    unknown = [kind for kind in kinds if kind not in DIFF_KINDS]
+    if not kinds or unknown:
+        raise argparse.ArgumentTypeError(
+            "unknown diff kind(s) {} (choices: {})".format(
+                ", ".join(unknown) or repr(text), ", ".join(DIFF_KINDS)
+            )
+        )
+    return kinds
+
+
 def _cmd_workloads(args):
     """Application workload sweeps with SLO gates (docs/workloads.md).
 
@@ -803,13 +817,18 @@ def _cmd_verify(args):
     from repro.verify.shrink import shrink_scenario
 
     if args.backend_diff:
-        from repro.verify.backend_diff import diff_failures, diff_sweep
+        from repro.verify.backend_diff import (
+            DEFAULT_KINDS,
+            diff_failures,
+            diff_sweep,
+        )
 
         runner = _runner(args)
         reports = diff_sweep(
             n_trials=args.trials,
             seed=args.seed,
             backend=args.backend if args.backend != "reference" else "events",
+            kinds=args.kinds or DEFAULT_KINDS,
             runner=runner,
         )
         _report_runner_stats(runner)
@@ -1697,6 +1716,15 @@ def build_parser():
         "the --backend engine against the reference engine over "
         "--trials seeded workloads (scenario/traffic/faults/chaos); "
         "any observable difference fails the command",
+    )
+    verify.add_argument(
+        "--kinds",
+        type=_parse_diff_kinds,
+        default=None,
+        metavar="KIND[,KIND...]",
+        help="--backend-diff workload kinds to cycle through (default: "
+        "scenario,traffic,faults,chaos; also: knee, the 256-endpoint "
+        "loaded-then-drained network)",
     )
     verify.add_argument(
         "--resume-diff",

@@ -105,6 +105,19 @@ BACKEND_MUTATIONS = frozenset(
     )
 )
 
+# -- Engine-layer mutations (events engine scheduling) -----------------------
+#
+# Seeded bugs in the activity-gated engine's own scheduling
+# (:mod:`repro.sim.backends`), proving the backend equivalence prover
+# notices when the engine skips a tick the reference would run.
+
+#: Leave sweep mode without the conservative "everything ACTIVE" reset:
+#: components keep the states they had when sweep mode began, so a
+#: component that went busy meanwhile can stay parked.
+EV_SWEEP_EXIT_NO_RESET = "events-sweep-exit-no-reset"
+
+ENGINE_MUTATIONS = frozenset((EV_SWEEP_EXIT_NO_RESET,))
+
 # -- Workload-layer mutations (collective DAG release) ----------------------
 #
 # Seeded bugs in the :class:`repro.workloads.collective.CollectiveObserver`
@@ -126,8 +139,10 @@ WL_PREMATURE_RELEASE = "workload-premature-release"
 WORKLOAD_MUTATIONS = frozenset((WL_DROP_DEP_EDGE, WL_PREMATURE_RELEASE))
 
 #: Every mutation :func:`activate` accepts (protocol + backend +
-#: workload layers).
-KNOWN_MUTATIONS = ALL_MUTATIONS | BACKEND_MUTATIONS | WORKLOAD_MUTATIONS
+#: engine + workload layers).
+KNOWN_MUTATIONS = (
+    ALL_MUTATIONS | BACKEND_MUTATIONS | ENGINE_MUTATIONS | WORKLOAD_MUTATIONS
+)
 
 #: The active mutation set.  Falsy (empty) in production; the guards in
 #: router/allocator code check emptiness before doing a set lookup.

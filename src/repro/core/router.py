@@ -53,6 +53,10 @@ BLOCKED_STATE = "blocked"    # detailed-mode block; swallowing until TURN
 REVERSED_STATE = "reversed"  # established; data flowing dest -> source
 DISCARD_STATE = "discard"    # torn down; draining in-flight words
 
+#: CRC-8 table of :class:`~repro.core.words.Checksum`; the tick folds
+#: single-byte data words through it inline.
+_CRC_TABLE = W.Checksum._TABLE
+
 
 class _Connection:
     """Per-forward-port connection state."""
@@ -128,6 +132,9 @@ class MetroRouter(Component):
     :param trace: optional :class:`~repro.sim.trace.Trace`.
     """
 
+    #: Per-port wiring cache of :meth:`tick` (see :meth:`_build_wiring`).
+    _wiring = None
+
     def __init__(
         self,
         params,
@@ -202,6 +209,7 @@ class MetroRouter(Component):
         """
         state = dict(self.__dict__)
         state["wake_hook"] = None
+        state.pop("_wiring", None)
         multitap = state.pop("multitap", None)
         if multitap is not None:
             state["_scan_marker"] = (multitap.sp, sorted(multitap.dead_ports))
@@ -224,10 +232,12 @@ class MetroRouter(Component):
     def attach_forward(self, port, channel_end):
         """Connect forward port ``port`` to the B side of its channel."""
         self.forward_ends[port] = channel_end
+        self._wiring = None
 
     def attach_backward(self, port, channel_end):
         """Connect backward port ``port`` to the A side of its channel."""
         self.backward_ends[port] = channel_end
+        self._wiring = None
 
     # ------------------------------------------------------------------
     # Introspection (used by tests, stats and the scan subsystem)
@@ -325,49 +335,180 @@ class MetroRouter(Component):
     # Per-cycle behaviour
     # ------------------------------------------------------------------
 
+    def _build_wiring(self):
+        """Per-port tuples for :meth:`tick`, built on first use.
+
+        ``(forward, backward, bcb)``: for each wired forward port
+        ``(fp, channel, rx_pipe, rx_fault_name, tx_pipe)`` in port
+        order; per backward port ``(channel, tx_pipe, rx_pipe,
+        rx_fault_name)`` or None; and the backward ports' BCB receive
+        pipes.  Rebuilt after :meth:`attach_forward` /
+        :meth:`attach_backward` and never part of a snapshot.
+        """
+        forward = tuple(
+            (fp, end.channel, end._rx, end._rx_fault, end._tx)
+            for fp, end in enumerate(self.forward_ends)
+            if end is not None
+        )
+        backward = tuple(
+            None if end is None
+            else (end.channel, end._tx, end._rx, end._rx_fault)
+            for end in self.backward_ends
+        )
+        bcb = tuple(
+            end._bcb_rx for end in self.backward_ends if end is not None
+        )
+        self._wiring = (forward, backward, bcb)
+        return self._wiring
+
     def tick(self, cycle):
         if self.dead:
             return
         self._cycle = cycle
         if self._shared_bus:
             self.random_stream.begin_cycle(cycle)
-        self._service_backward_bcb()
+        wiring = self._wiring
+        if wiring is None:
+            wiring = self._build_wiring()
+        forward, backward, bcb = wiring
+        # Skip gate: with no pulse in any backward BCB pipe, every
+        # recv_bcb() of the service loop would return None.
+        for pipe in bcb:
+            if pipe.occupied:
+                self._service_backward_bcb()
+                break
         if self._draining:
             self._service_draining()
-        # The port loop is inlined (rather than calling a per-port
-        # helper) and skips the state dispatch for silent idle ports —
-        # the overwhelmingly common case on a lightly loaded network.
-        forward_ends = self.forward_ends
+        # The port loop reads the pipe heads inline (ChannelEnd.recv's
+        # dead check and fault transform apply only to a present word)
+        # and replays the FORWARD and REVERSED per-word steady states
+        # in place.  Everything else — routing, setup, blocking,
+        # closes, STATUS emission, watchdog expiry — goes through the
+        # per-state handlers, which hold the mutation hooks.
+        conns = self._conns
         boundary = self.boundary_capture
         enabled = self.config.port_enabled
-        for conn in self._conns:
-            fp = conn.fwd_port
-            fwd_end = forward_ends[fp]
-            if fwd_end is None:
-                continue
-            word = fwd_end.recv()
+        timeout = self.signal_timeout
+        single_stage = self.params.dp == 1
+        for fp, channel, rx, fault_name, tx in forward:
+            word = rx.slots[-1]
+            if word is not None:
+                if channel.dead:
+                    word = None
+                else:
+                    fault = getattr(channel, fault_name)
+                    if fault is not None:
+                        word = fault(word)
             # The boundary register observes the pins even on a
             # disabled port — that observability is what port-isolation
             # tests use.  (Forward port ids equal forward indices.)
             boundary[fp] = word
+            conn = conns[fp]
             state = conn.state
-            if state == IDLE_STATE and (word is None or word.kind != W.DATA):
+            if state == IDLE_STATE:
+                if word is not None and word.kind == W.DATA and enabled[fp]:
+                    self._handle_idle(conn, word)
                 continue
             if not enabled[fp]:
                 continue
-            if state == IDLE_STATE:
-                self._handle_idle(conn, word)
+            if state == FORWARD_STATE:
+                if conn.status_pending:
+                    self._handle_forward(conn, word)
+                    continue
+                if word is None:
+                    if timeout is not None:
+                        silent = conn.silent_cycles + 1
+                        if silent >= timeout:
+                            self._handle_forward(conn, None)
+                            continue
+                        conn.silent_cycles = silent
+                    word = W.IDLE_WORD
+                else:
+                    kind = word.kind
+                    if kind == W.DROP:
+                        self._handle_forward(conn, word)
+                        continue
+                    conn.silent_cycles = 0
+                    if kind == W.DATA:
+                        checksum = conn.checksum
+                        value = word.value
+                        if value <= 0xFF:
+                            checksum.value = _CRC_TABLE[checksum.value ^ value]
+                        else:
+                            checksum.update(value)
+                        conn.words_forwarded += 1
+                pipe = conn.pipe
+                if single_stage:
+                    out = pipe[0]
+                    pipe[0] = word
+                else:
+                    out = pipe.pop()
+                    pipe.insert(0, word)
+                if out is not None:
+                    out_channel, out_tx, _, _ = backward[conn.bwd_port]
+                    out_tx.staged = out
+                    hook = out_channel.hot_hook
+                    if hook is not None:
+                        hook(out_channel)
+                    if out.kind == W.TURN:
+                        conn.state = REVERSED_STATE
+                        conn.begin_new_direction()
+                        self._record("conn-turn", fp, conn.bwd_port)
+            elif state == REVERSED_STATE:
+                if conn.status_pending or (
+                    word is not None and word.kind == W.DROP
+                ):
+                    self._handle_reversed(conn, word)
+                    continue
+                q = conn.bwd_port
+                in_channel, _, in_rx, in_fault_name = backward[q]
+                reverse_in = in_rx.slots[-1]
+                if reverse_in is not None:
+                    if in_channel.dead:
+                        reverse_in = None
+                    else:
+                        fault = getattr(in_channel, in_fault_name)
+                        if fault is not None:
+                            reverse_in = fault(reverse_in)
+                boundary[self.params.i + q] = reverse_in
+                if reverse_in is None:
+                    if timeout is not None:
+                        silent = conn.silent_cycles + 1
+                        conn.silent_cycles = silent
+                        if silent >= timeout:
+                            self._reversed_watchdog_teardown(conn)
+                            continue
+                else:
+                    conn.silent_cycles = 0
+                    if reverse_in.kind == W.DATA:
+                        checksum = conn.checksum
+                        value = reverse_in.value
+                        if value <= 0xFF:
+                            checksum.value = _CRC_TABLE[checksum.value ^ value]
+                        else:
+                            checksum.update(value)
+                        conn.words_forwarded += 1
+                pipe = conn.pipe
+                if single_stage:
+                    out = pipe[0]
+                    pipe[0] = reverse_in
+                else:
+                    out = pipe.pop()
+                    pipe.insert(0, reverse_in)
+                tx.staged = W.IDLE_WORD if out is None else out
+                hook = channel.hot_hook
+                if hook is not None:
+                    hook(channel)
+                if out is not None:
+                    self._after_reverse_exit(conn, out)
             elif state == SETUP_STATE:
                 self._handle_setup(conn, word)
-            elif state == FORWARD_STATE:
-                self._handle_forward(conn, word)
             elif state == BLOCKED_STATE:
                 self._handle_blocked(conn, word)
-            elif state == REVERSED_STATE:
-                self._handle_reversed(conn, word)
             elif state == DISCARD_STATE:
                 self._handle_discard(conn, word)
-        self._drive_scan_outputs()
+        if any(self._scan_drive):  # a Word is truthy, an empty slot None
+            self._drive_scan_outputs()
 
     def _service_draining(self):
         """Flush pipelines of closed connections; free ports on DROP exit."""
@@ -442,7 +583,10 @@ class MetroRouter(Component):
         """
         bits = self.params.direction_bits(self.config.dilation)
         width = self.params.w
-        value = word.value
+        # Only the datapath's w bits exist on the pins: a wider value
+        # (a stale word of a torn-down stream, e.g. an 8-bit CRC tail
+        # reaching a 4-bit router) must not route on phantom bits.
+        value = word.value & ((1 << width) - 1)
         conn.direction = value >> (width - bits) if bits else 0
         if self.config.swallow[conn.fwd_port]:
             return None
@@ -599,10 +743,7 @@ class MetroRouter(Component):
         self.boundary_capture[self.params.i + conn.bwd_port] = reverse_in
         if reverse_in is None:
             if self._watchdog(conn):
-                fp_end.send(W.DROP_WORD)
-                self._record("watchdog-teardown", conn.fwd_port, "reversed")
-                self._release_backward(conn)
-                conn.reset()
+                self._reversed_watchdog_teardown(conn)
                 return
         else:
             conn.silent_cycles = 0
@@ -620,6 +761,17 @@ class MetroRouter(Component):
             fp_end.send(W.IDLE_WORD)
             return
         fp_end.send(out)
+        self._after_reverse_exit(conn, out)
+
+    def _reversed_watchdog_teardown(self, conn):
+        """The reverse input went silent too long: close upstream."""
+        self.forward_ends[conn.fwd_port].send(W.DROP_WORD)
+        self._record("watchdog-teardown", conn.fwd_port, "reversed")
+        self._release_backward(conn)
+        conn.reset()
+
+    def _after_reverse_exit(self, conn, out):
+        """Transitions of a word leaving the pipe toward the source."""
         if out.kind == W.DROP:
             self._record("conn-drop", conn.fwd_port, conn.bwd_port)
             self._release_backward(conn)

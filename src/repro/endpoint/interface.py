@@ -213,12 +213,29 @@ class Endpoint(Component):
 
     def tick(self, cycle):
         self._cycle = cycle
-        for port in range(len(self.receive_ends)):
+        # Skip gates, each exact: an idle receive port with an empty
+        # wire head reads None (no fault transform runs on silence)
+        # and does nothing; the generate and start-send calls below
+        # would return at their own capacity checks.
+        recv_states = self._recv_states
+        for port, end in enumerate(self.receive_ends):
+            if (
+                recv_states[port].phase == _RX_IDLE
+                and end._rx.slots[-1] is None
+            ):
+                continue
             self._service_receive(port)
-        for port in list(self._sends):
-            self._service_send(self._sends[port])
-        self._maybe_generate(cycle)
-        self._maybe_start_send(cycle)
+        sends = self._sends
+        if sends:
+            for port in list(sends):
+                self._service_send(sends[port])
+        if (
+            self.traffic_source is not None
+            and len(self._queue) + len(sends) < self.max_outstanding
+        ):
+            self._maybe_generate(cycle)
+        if self._queue and len(sends) < self.max_outstanding:
+            self._maybe_start_send(cycle)
 
     # ------------------------------------------------------------------
     # Activity protocol (event-driven engine backend)

@@ -31,6 +31,10 @@ provable no-op work and nothing else:
   compresses the idle gap in O(1) by jumping the cycle counter to the
   next event.  Unpredictable sources (Bernoulli traffic) disable
   compression but still benefit from the POLL fast path.
+* Under heavy load, when nearly every component is ACTIVE anyway, the
+  engine switches to a *sweep mode* that ticks every component without
+  state lookups and still advances only the hot channels, and it
+  switches back when the load falls (:meth:`EventEngine._sweep_step`).
 
 Equivalence is *by construction* — a skipped tick is one the reference
 engine would have executed with no observable effect, and a spuriously
@@ -45,12 +49,22 @@ engine degrades to the dense reference sweep for the whole run —
 slower, never wrong.
 """
 
+from repro.core import mutation as _mutation
 from repro.sim.channel import Channel
 from repro.sim.component import ACTIVE, PARKED, POLL
 from repro.sim.engine import Engine, EngineDeadlineError
 
 #: ``next_event_cycle`` return meaning "no future event at all".
 NEVER = float("inf")
+
+#: Sweep mode starts when more than this share of the components is
+#: still ACTIVE after a reclassification: the per-component state
+#: lookups then cost more than the few parked ticks they save.
+SWEEP_ENTER_FRACTION = 0.75
+#: ... and ends when a probe finds fewer than this share ACTIVE.
+SWEEP_EXIT_FRACTION = 0.5
+#: Cycles between activity probes while in sweep mode.
+SWEEP_PROBE_CYCLES = 64
 
 
 class EventEngine(Engine):
@@ -81,6 +95,14 @@ class EventEngine(Engine):
         #: and benchmarks; no functional role).
         self.compressed_cycles = 0
 
+    #: True while the engine ticks every component (sweep mode; see
+    #: :meth:`_sweep_step`).  Class-level defaults also cover engines
+    #: restored from snapshots taken before sweep mode existed.
+    _sweep = False
+    #: Cycles run in sweep mode (visible for tests and benchmarks; no
+    #: functional role).
+    sweep_cycles = 0
+
     # ------------------------------------------------------------------
     # Snapshot support
     # ------------------------------------------------------------------
@@ -103,6 +125,7 @@ class EventEngine(Engine):
             state.pop(name, None)
         state["_prepared"] = False
         state["_compressible"] = False
+        state.pop("_sweep", None)  # restored engines start gated
         return state
 
     def __setstate__(self, state):
@@ -266,6 +289,9 @@ class EventEngine(Engine):
         for hook in self._pre_cycle_hooks:
             hook(self)
         cycle = self.cycle
+        if self._sweep:
+            self._sweep_step(cycle)
+            return
         states = self._states
         woken = self._woken
         if woken:
@@ -288,32 +314,7 @@ class EventEngine(Engine):
                     states[component] = ACTIVE
         for observer in self.observers:
             observer.tick(cycle)
-        # Channels staged into this cycle added themselves to the hot
-        # set via their staging hook; no scan needed.
-        hot = self._hot
-        if hot:
-            woken_add = woken.add
-            cold = []
-            for channel in hot:
-                channel.advance()
-                p_ab, p_ba, p_bab, p_bba, a_side, b_side = channel._ev_rec
-                if b_side is not None and (
-                    p_ab.slots[-1] is not None or p_bab.slots[-1] is not None
-                ):
-                    woken_add(b_side)
-                if a_side is not None and (
-                    p_ba.slots[-1] is not None or p_bba.slots[-1] is not None
-                ):
-                    woken_add(a_side)
-                if not (
-                    p_ab.occupied
-                    or p_ba.occupied
-                    or p_bab.occupied
-                    or p_bba.occupied
-                ):
-                    cold.append(channel)
-            for channel in cold:
-                hot.discard(channel)
+        self._advance_hot(wake=True)
         # Re-classification is deliberately throttled: parking *late* is
         # always safe (a spurious tick on idle state is a no-op — only a
         # missed wake can diverge), so the park check runs every fourth
@@ -321,13 +322,99 @@ class EventEngine(Engine):
         # active for tens of cycles (an open connection), making the
         # per-cycle check pure overhead.
         if cycle & 3 == 3:
+            active = len(ticked)
             for component in ticked:
                 after = component.activity_state()
                 if after is not ACTIVE:
+                    active -= 1
                     states[component] = after
                     if after is PARKED:
                         component.on_park()
+            if active > SWEEP_ENTER_FRACTION * len(self.components):
+                self._sweep = True
         self.cycle = cycle + 1
+
+    def _sweep_step(self, cycle):
+        """One cycle in sweep mode: tick everything, advance hot wires.
+
+        Under heavy load nearly every component is ACTIVE, so gating
+        saves little and its per-component state lookups, wake
+        bookkeeping and reclassification are overhead.  Sweep mode
+        ticks every component unconditionally — exact, because a
+        spurious tick on idle state is a no-op (a parked component's
+        tick reads silence and stages nothing; a polling endpoint's
+        tick is its poll) — and still advances only the hot channel
+        set, which the staging hooks keep exact.  Wakes are dropped:
+        every component ticks anyway.
+
+        Every :data:`SWEEP_PROBE_CYCLES` cycles a probe counts the
+        components that need their tick.  Below
+        :data:`SWEEP_EXIT_FRACTION` the engine returns to gated mode
+        through the conservative reset :meth:`_prepare` uses: every
+        component is marked ACTIVE (its state may have changed
+        arbitrarily while nobody tracked it) and parks again at the
+        next reclassification.
+        """
+        woken = self._woken
+        if woken:
+            woken.clear()
+        for component in self.components:
+            component.tick(cycle)
+        for observer in self.observers:
+            observer.tick(cycle)
+        self._advance_hot(wake=False)
+        self.sweep_cycles += 1
+        if self.sweep_cycles % SWEEP_PROBE_CYCLES == 0:
+            components = self.components
+            active = 0
+            for component in components:
+                if component.activity_state() is ACTIVE:
+                    active += 1
+            if active < SWEEP_EXIT_FRACTION * len(components):
+                self._sweep = False
+                if not (
+                    _mutation.ACTIVE
+                    and _mutation.enabled(_mutation.EV_SWEEP_EXIT_NO_RESET)
+                ):
+                    states = self._states
+                    for component in components:
+                        states[component] = ACTIVE
+        self.cycle = cycle + 1
+
+    def _advance_hot(self, wake):
+        """Advance the hot channel set and drop the wires gone cold.
+
+        Channels staged into this cycle added themselves to the set via
+        their staging hook, so no scan is needed.  A hot channel needs
+        no hook until it cools, so the hook is cleared while it stays
+        hot and restored when it leaves the set.  With ``wake``, every
+        component a word or BCB pulse now sits in front of is woken.
+        """
+        hot = self._hot
+        if not hot:
+            return
+        woken_add = self._woken.add
+        cold = []
+        for channel in hot:
+            if not channel.advance():
+                cold.append(channel)
+                continue
+            channel.hot_hook = None
+            if not wake:
+                continue
+            p_ab, p_ba, p_bab, p_bba, a_side, b_side = channel._ev_rec
+            if b_side is not None and (
+                p_ab.slots[-1] is not None or p_bab.slots[-1] is not None
+            ):
+                woken_add(b_side)
+            if a_side is not None and (
+                p_ba.slots[-1] is not None or p_bba.slots[-1] is not None
+            ):
+                woken_add(a_side)
+        hot_add = hot.add
+        for channel in cold:
+            hot.discard(channel)
+            channel.hot_hook = hot_add
 
     # ------------------------------------------------------------------
     # Runs (with idle-gap compression)
@@ -374,6 +461,7 @@ class EventEngine(Engine):
         if (
             not self._compressible
             or self.degraded
+            or self._sweep
             or self._hot
             or self._woken
         ):

@@ -114,11 +114,12 @@ class Channel:
         #: Set by TelemetryHub.bind to count wire activity; None (the
         #: default) keeps the advance hot path free of telemetry work.
         self.telemetry = None
-        #: Set by the event-driven engine backend: called with this
-        #: channel whenever a word is staged onto it, so the engine
-        #: learns a sleeping wire went hot without scanning.  None (the
-        #: default, and always under the reference engine) costs one
-        #: branch per send.
+        #: Set by the event-driven engine backend on a cold channel:
+        #: called with this channel whenever a word is staged onto it,
+        #: so the engine learns a sleeping wire went hot without
+        #: scanning (the engine may clear it while the wire is hot).
+        #: None (the default, and always under the reference engine)
+        #: costs one branch per send.
         self.hot_hook = None
         #: Event-engine advance record ``(pipe, pipe, pipe, pipe,
         #: a_component, b_component)``; built by the backend's prepare
@@ -153,9 +154,21 @@ class Channel:
         return ChannelEnd(self, "b")
 
     def advance(self):
-        """Shift all four pipelines by one cycle (phase two of a tick)."""
-        down = self._a_to_b.staged
-        up = self._b_to_a.staged
+        """Shift all four pipelines by one cycle (phase two of a tick).
+
+        Returns True while any word or pulse remains in flight, so an
+        engine keeping a hot-channel set learns when the wire went
+        cold without inspecting its pipes.
+
+        Delay-1 wires — the common case — take an unrolled path: each
+        pipe is a single register, so the shift is one store, the
+        occupancy is 0 or 1, and the channel stays hot exactly when
+        something was staged this cycle.
+        """
+        a_to_b = self._a_to_b
+        b_to_a = self._b_to_a
+        down = a_to_b.staged
+        up = b_to_a.staged
         if down is not None or up is not None:
             if (
                 down is not None
@@ -166,47 +179,51 @@ class Channel:
                 self.half_duplex_violations += 1
             if self.telemetry is not None:
                 self.telemetry.channel_activity(self, down, up)
-        for pipe in (self._a_to_b, self._b_to_a, self._bcb_b_to_a, self._bcb_a_to_b):
-            if pipe.occupied or pipe.staged is not None:
-                pipe.advance()
-
-    # -- side-specific accessors used by ChannelEnd -------------------
-
-    def _send(self, side, word):
-        if side == "a":
-            self._a_to_b.push(word)
-        else:
-            self._b_to_a.push(word)
-        if self.hot_hook is not None:
-            self.hot_hook(self)
-
-    def _recv(self, side):
-        if side == "a":
-            word = self._b_to_a.head()
-            fault = self.fault_b_to_a
-        else:
-            word = self._a_to_b.head()
-            fault = self.fault_a_to_b
-        if self.dead:
-            return None
-        if fault is not None and word is not None:
-            word = fault(word)
-        return word
-
-    def _send_bcb(self, side, value):
-        if side == "a":
-            self._bcb_a_to_b.push(value)
-        else:
-            self._bcb_b_to_a.push(value)
-        if self.hot_hook is not None:
-            self.hot_hook(self)
-
-    def _recv_bcb(self, side):
-        if self.dead:
-            return None
-        if side == "a":
-            return self._bcb_b_to_a.head()
-        return self._bcb_a_to_b.head()
+        if self.delay != 1:
+            busy = False
+            for pipe in (a_to_b, b_to_a, self._bcb_b_to_a, self._bcb_a_to_b):
+                if pipe.occupied or pipe.staged is not None:
+                    pipe.advance()
+                    busy = busy or pipe.occupied > 0
+            return busy
+        if down is not None:
+            a_to_b.slots[0] = down
+            a_to_b.staged = None
+            a_to_b.occupied = 1
+        elif a_to_b.occupied:
+            a_to_b.slots[0] = None
+            a_to_b.occupied = 0
+        if up is not None:
+            b_to_a.slots[0] = up
+            b_to_a.staged = None
+            b_to_a.occupied = 1
+        elif b_to_a.occupied:
+            b_to_a.slots[0] = None
+            b_to_a.occupied = 0
+        pipe = self._bcb_b_to_a
+        up_pulse = pipe.staged
+        if up_pulse is not None:
+            pipe.slots[0] = up_pulse
+            pipe.staged = None
+            pipe.occupied = 1
+        elif pipe.occupied:
+            pipe.slots[0] = None
+            pipe.occupied = 0
+        pipe = self._bcb_a_to_b
+        down_pulse = pipe.staged
+        if down_pulse is not None:
+            pipe.slots[0] = down_pulse
+            pipe.staged = None
+            pipe.occupied = 1
+        elif pipe.occupied:
+            pipe.slots[0] = None
+            pipe.occupied = 0
+        return not (
+            down is None
+            and up is None
+            and up_pulse is None
+            and down_pulse is None
+        )
 
     def in_flight(self):
         """Number of words currently inside the channel (both directions)."""

@@ -3,7 +3,7 @@
 Where does a simulated cycle's wall-clock time go — routers,
 endpoints, channel shifting, observers?  :class:`SimProfiler` answers
 without external tooling: it wraps every registered component's
-``tick`` (and every channel's ``advance``) with a
+``tick`` (and the channel classes' ``advance``) with a
 ``perf_counter``-based accumulator keyed by component class, runs the
 engine normally (deadlines, stop requests and pre-cycle hooks all
 behave as usual), then restores the original methods and reports.
@@ -107,28 +107,6 @@ class ProfileReport:
         )
 
 
-class _ChannelTimer:
-    """Stand-in placed in ``engine.channels`` while profiling.
-
-    Channels declare ``__slots__`` (they are the most numerous objects
-    in a simulation), so their ``advance`` cannot be wrapped in place;
-    the profiler swaps these proxies into the engine's channel list for
-    the duration of the run instead.
-    """
-
-    __slots__ = ("channel", "profile")
-
-    def __init__(self, channel, profile):
-        self.channel = channel
-        self.profile = profile
-
-    def advance(self):
-        start = time.perf_counter()
-        self.channel.advance()
-        self.profile.seconds += time.perf_counter() - start
-        self.profile.ticks += 1
-
-
 class SimProfiler:
     """Profiles one engine's component ticks by class.
 
@@ -175,13 +153,27 @@ class SimProfiler:
             component.tick = timed_tick
             wrapped.append(component)
 
+        # Channels declare ``__slots__`` (they are the most numerous
+        # objects in a simulation), so ``advance`` is timed on the
+        # channel classes themselves rather than per instance; the
+        # engine keeps iterating its real channel objects, whatever
+        # bookkeeping it installs on them.
         channel_profile = class_profile("Channel.advance")
         channel_profile.instances = len(engine.channels)
-        saved_channels = engine.channels
-        engine.channels = [
-            _ChannelTimer(channel, channel_profile)
-            for channel in saved_channels
-        ]
+        patched = []
+        for cls in {type(channel) for channel in engine.channels}:
+            original = cls.advance
+
+            def timed_advance(channel, _original=original,
+                              _profile=channel_profile):
+                start = time.perf_counter()
+                busy = _original(channel)
+                _profile.seconds += time.perf_counter() - start
+                _profile.ticks += 1
+                return busy
+
+            patched.append((cls, cls.__dict__.get("advance")))
+            cls.advance = timed_advance
 
         get_blocks = getattr(sys, "getallocatedblocks", None)
         start_cycle = engine.cycle
@@ -194,7 +186,11 @@ class SimProfiler:
                 run()
         finally:
             wall = time.perf_counter() - wall_start
-            engine.channels = saved_channels
+            for cls, own in patched:
+                if own is None:
+                    del cls.advance  # inherited: expose the base's again
+                else:
+                    cls.advance = own
             for component in wrapped:
                 del component.tick  # restore the class method
         alloc = (get_blocks() - blocks_before) if get_blocks else None

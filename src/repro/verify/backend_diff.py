@@ -17,7 +17,7 @@ everything observable:
 * oracle violations and quiescence (scenario workloads);
 * the final engine cycle.
 
-Four workload families cover the backend's behaviour space:
+Five workload families cover the backend's behaviour space:
 
 ``scenario``
     A :func:`~repro.verify.scenario.random_scenario` (random topology,
@@ -33,6 +33,13 @@ Four workload families cover the backend's behaviour space:
 ``chaos``
     A full :func:`~repro.harness.chaos.run_chaos_point` soak with
     self-healing enabled, compared window by window.
+``knee``
+    A 256-endpoint, 4-stage network under uniform traffic past the
+    Figure 3 knee, then drained with the traffic stopped: the events
+    engine enters its sweep mode under the load and leaves it during
+    the drain, so both mode switches sit inside the compared run.  Not
+    in :data:`DEFAULT_KINDS` (it is the slowest kind); request it with
+    ``kinds=("knee",)`` or ``verify --backend-diff --kinds knee``.
 
 Every diff is a pure function of ``(kind, seed)``, so sweeps are
 reproducible and can fan out across a
@@ -55,6 +62,12 @@ from repro.harness.parallel import TrialRunner, TrialSpec
 
 #: Workload families diffed by default, in sweep order.
 DEFAULT_KINDS = ("scenario", "traffic", "faults", "chaos")
+
+#: The ``knee`` kind's phases: cycles under load (long enough for the
+#: events engine to switch to sweep mode), then cycles with the
+#: traffic stopped (long enough for it to switch back).
+KNEE_LOADED_CYCLES = 160
+KNEE_DRAIN_CYCLES = 200
 
 #: Outcome of one differential run.  ``mismatches`` is a list of
 #: human-readable field descriptions (empty when the backends agree).
@@ -356,12 +369,90 @@ def _diff_chaos(seed, backend):
     return mismatches
 
 
+def _plan_256():
+    """256 endpoints, 4 stages: 8x8 dilation-2 x3, then 4x4 dilation-1.
+
+    The plan of ``plan_256`` in ``benchmarks/bench_scaling.py``, copied
+    so this module does not depend on benchmark code.
+    """
+    from repro.core.parameters import RouterParameters
+    from repro.network.topology import NetworkPlan, StageSpec
+
+    eight = RouterParameters(i=8, o=8, w=8, max_d=2)
+    four = RouterParameters(i=4, o=4, w=8, max_d=2)
+    return NetworkPlan(
+        256,
+        2,
+        2,
+        [
+            StageSpec(eight, 2),
+            StageSpec(eight, 2),
+            StageSpec(eight, 2),
+            StageSpec(four, 1),
+        ],
+    )
+
+
+def run_knee(seed, backend):
+    """Run the ``knee`` workload on ``backend``; returns the network.
+
+    Uniform 20-word traffic at rate 0.05 for
+    :data:`KNEE_LOADED_CYCLES`, then rate 0 (the sources keep drawing,
+    so the random streams stay aligned) for :data:`KNEE_DRAIN_CYCLES`.
+    A pre-cycle hook stops the traffic inside one ``run`` call: a run
+    boundary resets the events engine's component states itself and
+    would hide a sweep-mode exit that skipped that reset.
+    """
+    from repro.network.builder import build_network
+
+    rng = random.Random(derive_seed(seed, "backend-diff", "knee"))
+    network = build_network(
+        _plan_256(), seed=rng.getrandbits(24), fast_reclaim=True,
+        backend=backend,
+    )
+    traffic = UniformRandomTraffic(
+        network.plan.n_endpoints,
+        network.codec.w,
+        rate=0.05,
+        message_words=20,
+        seed=rng.getrandbits(24),
+    )
+    traffic.attach(network)
+
+    def stop_traffic(engine):
+        if engine.cycle == KNEE_LOADED_CYCLES:
+            traffic.rate = 0.0
+
+    network.engine.add_pre_cycle_hook(stop_traffic)
+    network.run(KNEE_LOADED_CYCLES + KNEE_DRAIN_CYCLES)
+    return network
+
+
+def _diff_knee(seed, backend):
+    mismatches = []
+    fingerprints = []
+    for be in ("reference", backend):
+        network = run_knee(seed, be)
+        fingerprint = message_fingerprint(network.log)
+        fingerprint["cycle"] = network.engine.cycle
+        fingerprint["pending"] = [
+            endpoint.pending_count() for endpoint in network.endpoints
+        ]
+        fingerprints.append(fingerprint)
+    _compare(fingerprints, mismatches)
+    return mismatches
+
+
 _KIND_RUNNERS = {
     "scenario": _diff_scenario,
     "traffic": lambda seed, backend: _diff_traffic(seed, backend, False),
     "faults": lambda seed, backend: _diff_traffic(seed, backend, True),
     "chaos": _diff_chaos,
+    "knee": _diff_knee,
 }
+
+#: Every workload kind :func:`diff_point` accepts.
+DIFF_KINDS = tuple(_KIND_RUNNERS)
 
 
 # ---------------------------------------------------------------------------

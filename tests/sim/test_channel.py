@@ -137,3 +137,22 @@ class TestHalfDuplexMonitor:
         channel.b.send(W.data(2))
         channel.advance()
         assert channel.half_duplex_violations == 0
+
+
+@pytest.mark.parametrize("delay", [1, 3])
+def test_advance_reports_words_in_flight(delay):
+    """``advance`` returns whether anything is still inside the wire —
+    data either way or a BCB pulse — so an engine can drop cold wires."""
+    channel = Channel(delay=delay)
+    assert channel.advance() is False
+    channel.a.send(W.data(1))
+    for _ in range(delay):
+        assert channel.advance() is True
+    assert channel.b.recv() == W.data(1)
+    assert channel.advance() is False
+    channel.b.send_bcb(2)
+    for _ in range(delay):
+        assert channel.advance() is True
+    assert channel.a.recv_bcb() == 2
+    assert channel.advance() is False
+    assert channel.in_flight() == 0

@@ -82,3 +82,40 @@ def test_report_rows_and_format():
     assert "cycles/s" in text
     assert "MetroRouter" in text
     assert repr(report).startswith("<ProfileReport")
+
+
+def _loaded_network(backend):
+    from repro.endpoint.traffic import UniformRandomTraffic
+
+    network = build_network(figure1_plan(), seed=21, backend=backend)
+    UniformRandomTraffic(
+        network.plan.n_endpoints, network.codec.w, rate=0.02, seed=5
+    ).attach(network)
+    return network
+
+
+def test_profile_works_on_every_backend():
+    """Profiling times the real channel objects, so the events engine's
+    staging hooks and the vector engine's mirrors stay intact: every
+    backend profiles the same cycles and the same messages as an
+    unprofiled run."""
+    from repro.sim.backends import BACKENDS
+    from repro.sim.channel import Channel
+    from repro.verify.backend_diff import message_fingerprint
+
+    advance = Channel.advance
+    plain = _loaded_network("reference")
+    plain.run(300)
+    want = message_fingerprint(plain.log)
+    assert want["messages"]
+    for backend in sorted(BACKENDS):
+        network = _loaded_network(backend)
+        report = profile_engine(network.engine, cycles=300)
+        assert report.cycles == 300, backend
+        assert network.engine.cycle == 300, backend
+        assert message_fingerprint(network.log) == want, backend
+        assert Channel.advance is advance
+        for component in network.engine.components:
+            assert "tick" not in vars(component)
+        if backend != "vector":  # vector shifts its pipes itself
+            assert report.classes["Channel.advance"].ticks > 0, backend

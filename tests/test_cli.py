@@ -285,6 +285,23 @@ def test_verify_resume_diff_sweep(capsys):
     assert "2/2" in out
 
 
+def test_verify_backend_diff_kinds_parse():
+    args = build_parser().parse_args(
+        ["verify", "--backend-diff", "--kinds", "knee,traffic"]
+    )
+    assert args.kinds == ("knee", "traffic")
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["verify", "--kinds", "voltage"])
+
+
+def test_verify_backend_diff_with_kinds(capsys):
+    out = _run(
+        capsys,
+        ["verify", "--backend-diff", "--kinds", "scenario", "--trials", "2"],
+    )
+    assert "2/2 workloads byte-identical" in out
+
+
 def test_chaos_snapshot_every_requires_dir(capsys):
     code = main(_CHAOS_SMALL + ["--snapshot-every", "2"])
     assert code == 2
