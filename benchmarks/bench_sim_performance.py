@@ -3,17 +3,20 @@
 Not a paper figure — an engineering benchmark for the reproduction
 itself (the repro band flags cycle simulation speed as the limiting
 factor for large networks).  Reports simulated cycles/second for a
-loaded Figure 3 network and raw single-router tick rate.
+loaded Figure 3 network, raw single-router tick rate, and the host cost
+of one self-healing wire repair measured in simulated cycles.
 """
 
 import os
+import time
 
 from _record import metric, write_bench
 from repro.core import words as W
 from repro.core.parameters import RouterParameters
 from repro.core.router import MetroRouter
 from repro.endpoint.traffic import UniformRandomTraffic
-from repro.harness.load_sweep import figure3_network
+from repro.faults.diagnosis import port_isolation_test
+from repro.harness.load_sweep import figure1_network, figure3_network
 from repro.sim.channel import Channel
 from repro.sim.engine import Engine
 
@@ -116,3 +119,56 @@ def test_component_time_breakdown(report):
         "tick" not in vars(component)
         for component in network.engine.components
     )
+
+
+def _best_seconds(fn, repeats, rounds=5):
+    """Best-of-``rounds`` host seconds per call of ``fn``."""
+    best = float("inf")
+    for _ in range(rounds):
+        started = time.perf_counter()
+        for _ in range(repeats):
+            fn()
+        best = min(best, (time.perf_counter() - started) / repeats)
+    return best
+
+
+def test_wire_repair_cost(report):
+    """Host time of one wire's port-isolation test, in dense cycles.
+
+    The test disables both ports facing an inter-router wire through
+    scan, drives five EXTEST patterns across it, samples them at the
+    far boundary and re-enables the ports (paper, Section 5.1).  Both
+    timings come from one process on the same Figure 1 network, so
+    their ratio carries across machines where the raw times do not.
+    """
+    network = figure1_network(seed=23)
+    src_key, dst_key = next(
+        key for key in network.channels
+        if key[0][0] == "router" and key[1][0] == "router"
+    )
+    repeats = 5 if os.environ.get("REPRO_BENCH_QUICK") else 20
+    wire_s = _best_seconds(
+        lambda: port_isolation_test(network, src_key, dst_key), repeats
+    )
+    cycle_s = _best_seconds(lambda: network.run(CYCLES), 1) / CYCLES
+    ratio = wire_s / cycle_s
+    report(
+        "Wire repair (Figure 1 network, one port-isolation test):\n"
+        "  {:.0f} us per wire test, {:.1f} us per dense cycle\n"
+        "  = {:.1f} dense cycles of host time per wire test".format(
+            wire_s * 1e6, cycle_s * 1e6, ratio
+        ),
+        name="sim_performance_wire_repair",
+    )
+    write_bench(
+        "sim_performance_wire_repair",
+        {
+            # A ratio of two host times from one process: portable,
+            # so CI's bench-check gates it against committed history.
+            "wire_test_over_cycle": metric(
+                ratio, higher_is_better=False, portable=True
+            ),
+        },
+        params={"cycles": CYCLES, "repeats": repeats},
+    )
+    assert port_isolation_test(network, src_key, dst_key)[0]

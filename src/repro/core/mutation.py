@@ -116,7 +116,12 @@ BACKEND_MUTATIONS = frozenset(
 #: component that went busy meanwhile can stay parked.
 EV_SWEEP_EXIT_NO_RESET = "events-sweep-exit-no-reset"
 
-ENGINE_MUTATIONS = frozenset((EV_SWEEP_EXIT_NO_RESET,))
+#: Reuse the wiring maps across runs even after a component was
+#: re-wired: a channel newly attached to a port wakes nobody when a
+#: word reaches its far end.
+EV_STALE_WIRING_MAPS = "events-stale-wiring-maps"
+
+ENGINE_MUTATIONS = frozenset((EV_SWEEP_EXIT_NO_RESET, EV_STALE_WIRING_MAPS))
 
 # -- Workload-layer mutations (collective DAG release) ----------------------
 #

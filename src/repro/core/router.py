@@ -42,7 +42,7 @@ from repro.core import words as W
 from repro.core.crossbar import CrossbarAllocator, RANDOM
 from repro.core.parameters import RouterConfig
 from repro.core.random_source import RandomStream, SharedRandomBus
-from repro.sim.component import ACTIVE, Component, PARKED
+from repro.sim.component import ACTIVE, Component, PARKED, rewired
 from repro.telemetry.nullobj import NULL_TELEMETRY
 
 # Forward-port FSM states (exposed for tests via connection_state()).
@@ -219,7 +219,7 @@ class MetroRouter(Component):
         marker = state.pop("_scan_marker", None)
         self.__dict__.update(state)
         if marker is not None:
-            from repro.scan.controller import attach_scan
+            from repro.scan.chain import attach_scan
 
             sp, dead_ports = marker
             multitap = attach_scan(self, sp=sp)
@@ -233,11 +233,13 @@ class MetroRouter(Component):
         """Connect forward port ``port`` to the B side of its channel."""
         self.forward_ends[port] = channel_end
         self._wiring = None
+        rewired()
 
     def attach_backward(self, port, channel_end):
         """Connect backward port ``port`` to the A side of its channel."""
         self.backward_ends[port] = channel_end
         self._wiring = None
+        rewired()
 
     # ------------------------------------------------------------------
     # Introspection (used by tests, stats and the scan subsystem)

@@ -29,7 +29,7 @@ import random
 from repro.core import words as W
 from repro.endpoint import messages as M
 from repro.endpoint.retry import UniformBackoff
-from repro.sim.component import ACTIVE, Component, PARKED, POLL
+from repro.sim.component import ACTIVE, Component, PARKED, POLL, rewired
 from repro.telemetry.nullobj import NULL_TELEMETRY
 
 ACK_OK = 1
@@ -183,10 +183,16 @@ class Endpoint(Component):
 
     def attach_source(self, channel_end):
         self.source_ends.append(channel_end)
+        rewired()
 
-    def attach_receive(self, channel_end):
-        self.receive_ends.append(channel_end)
-        self._recv_states.append(_RecvState())
+    def attach_receive(self, channel_end, port=None):
+        """Wire a new receive port, or re-wire receive port ``port``."""
+        if port is None:
+            self.receive_ends.append(channel_end)
+            self._recv_states.append(_RecvState())
+        else:
+            self.receive_ends[port] = channel_end
+        rewired()
 
     # ------------------------------------------------------------------
     # Application interface

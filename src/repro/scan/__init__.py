@@ -1,7 +1,7 @@
 """IEEE 1149.1 TAP, MultiTAP, and scan-driven configuration."""
 
-from repro.scan.chain import ScanChain
-from repro.scan.controller import ScanController, attach_scan
+from repro.scan.chain import ScanChain, attach_scan
+from repro.scan.controller import ScanController
 from repro.scan.multitap import MultiTap
 from repro.scan.registers import (
     boundary_width,

@@ -11,6 +11,27 @@ feature gives each component ``sp`` such chains for redundancy; a
 
 from repro.scan import registers as R
 from repro.scan import tap as T
+from repro.scan.multitap import MultiTap
+
+
+def attach_scan(router, sp=None):
+    """Create the MultiTAP + registers for one router; returns MultiTap.
+
+    The result is also stored on the router as ``router.multitap`` so a
+    controller can find it later.
+    """
+    regs = {
+        T.CONFIG: R.make_config_register(router),
+        T.SAMPLE: R.make_boundary_register(router),
+        T.EXTEST: R.make_boundary_register(router),
+    }
+    multitap = MultiTap(
+        regs,
+        idcode=R.make_idcode(router.params),
+        sp=sp if sp is not None else router.params.sp,
+    )
+    router.multitap = multitap
+    return multitap
 
 
 class ScanChain:
@@ -23,8 +44,6 @@ class ScanChain:
     """
 
     def __init__(self, routers, port=0):
-        from repro.scan.controller import attach_scan
-
         if not routers:
             raise ValueError("a scan chain needs at least one router")
         self.routers = list(routers)
@@ -44,6 +63,17 @@ class ScanChain:
         for router in self.routers:
             bit = router.multitap.step(self.port, tms, bit)
         return bit
+
+    def shift(self, bits, exit_last=True):
+        """``len(bits)`` shift edges on every TAP; returns the chain's TDO.
+
+        The chain is one long shift register and a shift edge touches
+        nothing but register contents, so shifting the whole run through
+        each router in turn equals clocking it edge by edge.
+        """
+        for router in self.routers:
+            bits = router.multitap.shift(self.port, bits, exit_last)
+        return bits
 
     def reset(self):
         for _ in range(5):
@@ -73,40 +103,34 @@ class ScanChain:
         bits = []
         for opcode in reversed(opcodes):
             bits.extend((opcode >> index) & 1 for index in range(T.IR_WIDTH))
-        for index, bit in enumerate(bits):
-            last = index == len(bits) - 1
-            self.step(1 if last else 0, bit)
+        self.shift(bits)  # exits on the final shift
         self.step(1)  # -> Update-IR
         self.step(0)  # -> Run-Test/Idle
 
     # -- data scanning ---------------------------------------------------
 
     def _dr_lengths(self, opcodes):
+        """Width of the data register each opcode selects, per router."""
         lengths = []
         for router, opcode in zip(self.routers, opcodes):
-            if opcode == T.BYPASS:
-                lengths.append(1)
-            elif opcode == T.IDCODE:
-                lengths.append(32)
-            elif opcode == T.CONFIG:
-                lengths.append(R.config_chain_width(router.params))
-            elif opcode in (T.SAMPLE, T.EXTEST):
-                lengths.append(R.boundary_width(router.params))
-            else:
-                lengths.append(1)
+            registers = router.multitap.shared.registers
+            lengths.append(registers.get(opcode, registers[T.BYPASS]).width)
         return lengths
 
-    def scan_dr(self, bits_in):
-        """One DR scan through the whole chain; returns captured bits."""
+    def _enter_shift_dr(self):
         self.step(1)
         self.step(0)  # -> Capture-DR
         self.step(0)  # capture edge -> Shift-DR
-        out = []
-        for index, bit in enumerate(bits_in):
-            last = index == len(bits_in) - 1
-            out.append(self.step(1 if last else 0, bit))
-        self.step(1)  # -> Update-DR
+
+    def _update_dr(self):
+        self.step(1)  # Exit1-DR -> Update-DR
         self.step(0)  # -> Run-Test/Idle
+
+    def scan_dr(self, bits_in):
+        """One DR scan through the whole chain; returns captured bits."""
+        self._enter_shift_dr()
+        out = self.shift(list(bits_in))
+        self._update_dr()
         return out
 
     # -- high-level operations --------------------------------------------
@@ -116,16 +140,9 @@ class ScanChain:
         self.load_instructions([T.IDCODE] * len(self.routers))
         total = 32 * len(self.routers)
         bits = self.scan_dr([0] * total)
-        codes = []
         # The first 32 bits out came from the LAST router in the chain.
-        for slot in range(len(self.routers)):
-            chunk = bits[slot * 32 : (slot + 1) * 32]
-            value = 0
-            for index, bit in enumerate(chunk):
-                value |= (1 if bit else 0) << index
-            codes.append(value)
-        codes.reverse()
-        return codes
+        codes = [T.bits_int(bits[at:at + 32]) for at in range(0, total, 32)]
+        return codes[::-1]
 
     def write_config(self, target_index, config_bits):
         """Rewrite one router's configuration; all others in BYPASS.

@@ -6,92 +6,26 @@ re-enable ports, and run the port-isolation tests that underpin
 on-line fault diagnosis (paper, Section 5.1, Scan Support).
 """
 
-import math
-
 from repro.scan import registers as R
 from repro.scan import tap as T
-from repro.scan.multitap import MultiTap
+from repro.scan.chain import ScanChain, attach_scan  # noqa: F401  (re-exported)
 
 
-def attach_scan(router, sp=None):
-    """Create the MultiTAP + registers for one router; returns MultiTap.
+class ScanController(ScanChain):
+    """Talks to one router through one TAP port of its MultiTAP.
 
-    The result is also stored on the router as ``router.multitap`` so a
-    controller can find it later.
+    A one-router :class:`~repro.scan.chain.ScanChain`: every operation
+    is a whole-chain instruction load plus one DR scan.
     """
-    regs = {
-        T.CONFIG: R.make_config_register(router),
-        T.SAMPLE: R.make_boundary_register(router),
-        T.EXTEST: R.make_boundary_register(router),
-    }
-    multitap = MultiTap(
-        regs,
-        idcode=R.make_idcode(router.params),
-        sp=sp if sp is not None else router.params.sp,
-    )
-    router.multitap = multitap
-    return multitap
-
-
-class ScanController:
-    """Talks to one router through one TAP port of its MultiTAP."""
 
     def __init__(self, router, port=0):
-        if not hasattr(router, "multitap"):
-            attach_scan(router)
+        ScanChain.__init__(self, [router], port)
         self.router = router
-        self.port = port
-
-    # -- low-level TAP driving ------------------------------------------
-
-    def _step(self, tms, tdi=0):
-        return self.router.multitap.step(self.port, tms, tdi)
-
-    def reset(self):
-        for _ in range(5):  # five TMS=1 clocks reach reset from anywhere
-            self._step(1)
-
-    def _load_instruction(self, opcode):
-        # From Run-Test/Idle: Select-DR, Select-IR, Capture-IR, then one
-        # edge to enter Shift-IR (the capture edge shifts nothing).
-        self._step(1)
-        self._step(1)
-        self._step(0)
-        self._step(0)
-        bits = [(opcode >> index) & 1 for index in range(T.IR_WIDTH)]
-        for index, bit in enumerate(bits):
-            last = index == len(bits) - 1
-            self._step(1 if last else 0, bit)  # exit on the final shift
-        self._step(1)  # Exit1-IR -> Update-IR
-        self._step(0)  # -> Run-Test/Idle
-
-    def _scan_dr(self, bits_in):
-        """Shift ``bits_in`` through the selected DR; returns captured bits."""
-        self._step(1)  # -> Select-DR
-        self._step(0)  # -> Capture-DR
-        self._step(0)  # -> Shift-DR (capture happened on this edge)
-        out = []
-        for index, bit in enumerate(bits_in):
-            last = index == len(bits_in) - 1
-            out.append(self._step(1 if last else 0, bit))
-        self._step(1)  # Exit1-DR -> Update-DR
-        self._step(0)  # -> Run-Test/Idle
-        return out
-
-    def _goto_idle(self):
-        self.reset()
-        self._step(0)  # -> Run-Test/Idle
 
     # -- high-level operations -------------------------------------------
 
     def read_idcode(self):
-        self._goto_idle()
-        self._load_instruction(T.IDCODE)
-        bits = self._scan_dr([0] * 32)
-        value = 0
-        for index, bit in enumerate(bits):
-            value |= (1 if bit else 0) << index
-        return value
+        return self.read_all_idcodes()[0]
 
     def read_config_bits(self):
         """Read the chain non-destructively.
@@ -101,24 +35,17 @@ class ScanController:
         back in, so the mandatory Update-DR on exit rewrites exactly
         what was there — the live configuration never glitches.
         """
-        self._goto_idle()
-        self._load_instruction(T.CONFIG)
+        self.load_instructions([T.CONFIG])
         width = R.config_chain_width(self.router.params)
-        self._step(1)  # -> Select-DR
-        self._step(0)  # -> Capture-DR
-        self._step(0)  # -> Shift-DR
-        captured = [self._step(0, 0) for _ in range(width)]
-        for index, bit in enumerate(captured):
-            last = index == width - 1
-            self._step(1 if last else 0, bit)
-        self._step(1)  # Exit1-DR -> Update-DR (rewrites the original)
-        self._step(0)  # -> Run-Test/Idle
+        self._enter_shift_dr()
+        captured = self.shift([0] * width, exit_last=False)
+        self.shift(captured)
+        self._update_dr()  # rewrites the original
         return captured
 
     def write_config_bits(self, bits):
-        self._goto_idle()
-        self._load_instruction(T.CONFIG)
-        return self._scan_dr(list(bits))
+        self.load_instructions([T.CONFIG])
+        return self.scan_dr(bits)
 
     def write_config(self, mutate):
         """Read-modify-write the configuration through the chain.
@@ -161,18 +88,11 @@ class ScanController:
 
     def sample_boundary(self):
         """SAMPLE: per-port last-seen data word values."""
-        self._goto_idle()
-        self._load_instruction(T.SAMPLE)
+        self.load_instructions([T.SAMPLE])
         width = R.boundary_width(self.router.params)
-        bits = self._scan_dr([0] * width)
+        bits = self.scan_dr([0] * width)
         w = self.router.params.w
-        words = []
-        for port_id in range(self.router.params.i + self.router.params.o):
-            value = 0
-            for index in range(w):
-                value |= (1 if bits[port_id * w + index] else 0) << index
-            words.append(value)
-        return words
+        return [T.bits_int(bits[start:start + w]) for start in range(0, width, w)]
 
     def extest_drive(self, backward_port, value):
         """EXTEST: drive ``value`` out a disabled backward port.
@@ -183,9 +103,7 @@ class ScanController:
         params = self.router.params
         width = R.boundary_width(params)
         bits = [0] * width
-        port_id = self.router.config.backward_port_id(backward_port)
-        for index in range(params.w):
-            bits[port_id * params.w + index] = (value >> index) & 1
-        self._goto_idle()
-        self._load_instruction(T.EXTEST)
-        self._scan_dr(bits)
+        start = self.router.config.backward_port_id(backward_port) * params.w
+        bits[start:start + params.w] = T.int_bits(value, params.w)
+        self.load_instructions([T.EXTEST])
+        self.scan_dr(bits)

@@ -14,7 +14,7 @@ fault — it ignores all activity, and ownership can be reacquired
 through a healthy port after the dead one is released by reset.
 """
 
-from repro.scan.tap import TEST_LOGIC_RESET, TapController
+from repro.scan.tap import TEST_LOGIC_RESET, TapController, clock_edges
 
 
 class MultiTap:
@@ -52,6 +52,27 @@ class MultiTap:
         if self.shared.state == TEST_LOGIC_RESET:
             self.owner = None  # reset releases ownership
         return tdo
+
+    def shift(self, port, bits, exit_last=True):
+        """A run of shift edges on one port; equals per-edge :meth:`step`.
+
+        Dead and non-owner ports read 0 and advance nothing.  Without an
+        owner the run may claim the controller part-way, so it is
+        clocked edge by edge.
+        """
+        self._check(port)
+        if port in self.dead_ports:
+            return [0] * len(bits)
+        if self.owner is None:
+            return clock_edges(
+                lambda tms, tdi: self.step(port, tms, tdi), bits, exit_last
+            )
+        if self.owner != port:
+            return [0] * len(bits)
+        out = self.shared.shift_bits(bits, exit_last)
+        if self.shared.state == TEST_LOGIC_RESET:
+            self.owner = None  # only a final TMS=1 edge can get here
+        return out
 
     def state(self):
         return self.shared.state

@@ -76,7 +76,6 @@ def decode_config(config, bits):
             delay |= (1 if bits[cursor] else 0) << index
             cursor += 1
         config.turn_delay[port_id] = min(delay, params.max_vtd)
-        cursor += 0
     for port in range(params.i):
         config.swallow[port] = bool(bits[cursor]); cursor += 1
     log_d = 0

@@ -111,7 +111,7 @@ class TapController:
         self.registers.setdefault(BYPASS, DataRegister(1))
         self.registers.setdefault(
             IDCODE,
-            DataRegister(32, capture=lambda: _int_bits(idcode, 32)),
+            DataRegister(32, capture=lambda: int_bits(idcode, 32)),
         )
         self._ir_shift = [0] * IR_WIDTH
         self.instruction = IDCODE  # selected after reset, per the standard
@@ -131,7 +131,7 @@ class TapController:
             self._current_dr().capture()
         elif state == CAPTURE_IR:
             # Standard: capture-IR loads 01 in the low bits.
-            self._ir_shift = _int_bits(0b0001, IR_WIDTH)
+            self._ir_shift = int_bits(0b0001, IR_WIDTH)
         elif state == SHIFT_DR:
             tdo = self._current_dr().shift(tdi)
         elif state == SHIFT_IR:
@@ -140,7 +140,7 @@ class TapController:
         elif state == UPDATE_DR:
             self._current_dr().update()
         elif state == UPDATE_IR:
-            opcode = _bits_int(self._ir_shift)
+            opcode = bits_int(self._ir_shift)
             self.instruction = opcode if opcode in self.registers else BYPASS
 
         self.state = _TRANSITIONS[state][1 if tms else 0]
@@ -149,16 +149,51 @@ class TapController:
         self.tdo = tdo
         return tdo
 
+    def shift_bits(self, bits, exit_last=True):
+        """A run of shift edges, TMS=1 on the last one iff ``exit_last``.
+
+        In Shift-DR/Shift-IR a TMS=0 edge only moves the selected
+        register one bit toward TDO, so the whole run is one list
+        splice; the result equals ``len(bits)`` calls of :meth:`step`.
+        From any other state the edges are clocked one by one.
+        """
+        n = len(bits)
+        state = self.state
+        if not n or (state != SHIFT_DR and state != SHIFT_IR):
+            return clock_edges(self.step, bits, exit_last)
+        reg = self._current_dr() if state == SHIFT_DR else None
+        seq = (self._ir_shift if reg is None else reg.bits) + [
+            1 if bit else 0 for bit in bits
+        ]
+        if reg is None:
+            self._ir_shift = seq[n:]
+        else:
+            reg.bits = seq[n:]
+        if exit_last:
+            self.state = _TRANSITIONS[state][1]
+        self.tdo = seq[n - 1]
+        return seq[:n]
+
     def _current_dr(self):
         return self.registers.get(self.instruction, self.registers[BYPASS])
 
 
-def _int_bits(value, width):
+def clock_edges(step, bits, exit_last):
+    """Clock ``step(tms, tdi)`` once per bit, TMS=1 on the last iff
+    ``exit_last``; returns the TDO bits."""
+    last = len(bits) - 1
+    return [
+        step(1 if exit_last and index == last else 0, bit)
+        for index, bit in enumerate(bits)
+    ]
+
+
+def int_bits(value, width):
     """LSB-first bit list of ``value``."""
     return [(value >> index) & 1 for index in range(width)]
 
 
-def _bits_int(bits):
+def bits_int(bits):
     value = 0
     for index, bit in enumerate(bits):
         value |= (1 if bit else 0) << index

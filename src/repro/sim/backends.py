@@ -50,6 +50,7 @@ slower, never wrong.
 """
 
 from repro.core import mutation as _mutation
+from repro.sim import component as _component
 from repro.sim.channel import Channel
 from repro.sim.component import ACTIVE, PARKED, POLL
 from repro.sim.engine import Engine, EngineDeadlineError
@@ -75,7 +76,11 @@ class EventEngine(Engine):
         #: True when a registered component predates the activity
         #: protocol; the engine then runs the dense reference sweep.
         self.degraded = False
+        #: True while the wiring maps match the registrations; the
+        #: maps are also stale once ``_epoch`` trails the component
+        #: module's wiring counter (see :meth:`_prepare`).
         self._prepared = False
+        self._epoch = None
         self._states = {}
         self._woken = set()
         #: The hot channel set is a stable object: channels carry a
@@ -111,6 +116,7 @@ class EventEngine(Engine):
     #: dropping it keeps snapshots free of bound-to-this-engine hooks
     #: and makes restore a plain "re-prepare on first step".
     _TRANSIENT_ATTRS = (
+        "_epoch",
         "_states",
         "_woken",
         "_hot",
@@ -130,6 +136,7 @@ class EventEngine(Engine):
 
     def __setstate__(self, state):
         self.__dict__.update(state)
+        self._epoch = None
         self._states = {}
         self._woken = set()
         self._hot = set()
@@ -162,29 +169,53 @@ class EventEngine(Engine):
     _PROTOCOL = ("activity_state", "attached_channels", "on_park")
 
     def _prepare(self):
-        """(Re)build wiring maps; mark everything active/hot.
+        """Conservative reset at the start of every run.
 
-        Called at the start of every run so that any wiring or state
-        mutation performed between runs — attaching traffic, applying
-        faults, poking router internals from a test — is absorbed by
-        one conservative dense cycle instead of needing a wake call.
+        Every component is marked ACTIVE and every registered channel
+        hot, so any state mutation performed between runs — attaching
+        traffic, applying faults, poking router internals from a test —
+        is absorbed by one conservative dense cycle instead of needing
+        a wake call.  The wiring maps are rebuilt only when they went
+        stale: a registration changed, or some component was re-wired
+        (its ``attach_*`` bumped the wiring counter).
         """
+        if not self._prepared or (
+            self._epoch != _component.wiring_epoch
+            and not (
+                _mutation.ACTIVE
+                and _mutation.enabled(_mutation.EV_STALE_WIRING_MAPS)
+            )
+        ):
+            self._build_maps()
+        if self.degraded:
+            return
+        hot_add = self._hot.add
+        for channel in self.channels:
+            channel.hot_hook = hot_add
+        wake = self.wake
+        for component in self.components:
+            hook = getattr(component, "wake_hook", False)
+            if hook is None or callable(hook):
+                component.wake_hook = wake
+        self._states = dict.fromkeys(self.components, ACTIVE)
+        self._woken.clear()
+        self._hot.clear()
+        self._hot.update(self.channels)
+        self._compressible = self._probe_compressible()
+
+    def _build_maps(self):
+        """Protocol check plus the component <-> channel wiring maps."""
+        self._prepared = True
+        self._epoch = _component.wiring_epoch
         self.degraded = False
         self._compressible = False
         for component in self.components:
             if not all(hasattr(component, name) for name in self._PROTOCOL):
                 self.degraded = True
-                self._prepared = True
                 return
-        states = self._states = {}
         adjacent = self._adjacent = {}
-        attached = {}
-        hot_add = self._hot.add
-        for channel in self.channels:
-            attached[channel] = [None, None]
-            channel.hot_hook = hot_add
+        attached = {channel: [None, None] for channel in self.channels}
         for component in self.components:
-            states[component] = ACTIVE
             entries = []
             for channel, is_a_side in component.attached_channels():
                 sides = attached.get(channel)
@@ -197,9 +228,6 @@ class EventEngine(Engine):
                 sides[0 if is_a_side else 1] = component
                 entries.append(channel)
             adjacent[component] = entries
-            hook = getattr(component, "wake_hook", False)
-            if hook is None or callable(hook):
-                component.wake_hook = self.wake
         self._attached = {
             channel: tuple(sides) for channel, sides in attached.items()
         }
@@ -212,11 +240,6 @@ class EventEngine(Engine):
                 a_side,
                 b_side,
             )
-        self._woken.clear()
-        self._hot.clear()
-        self._hot.update(self.channels)
-        self._compressible = self._probe_compressible()
-        self._prepared = True
 
     def _probe_compressible(self):
         """Can every future event source name its next event cycle?

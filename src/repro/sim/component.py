@@ -23,6 +23,18 @@ ACTIVE = "active"
 POLL = "poll"
 PARKED = "parked"
 
+#: Bumped by :func:`rewired` whenever a component's port wiring
+#: changes (the ``attach_*`` methods of routers and endpoints).  The
+#: event-driven backend caches its wiring maps across runs and rebuilds
+#: them when this counter moved: one integer compare per run.
+wiring_epoch = 0
+
+
+def rewired():
+    """Record that some component's ``attached_channels`` changed."""
+    global wiring_epoch
+    wiring_epoch += 1
+
 
 class Component:
     """A synchronously clocked element of a METRO network simulation.
